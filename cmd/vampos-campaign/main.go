@@ -34,7 +34,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "campaign seed; every trial's randomness derives from it")
 		trial      = flag.String("trial", "", "run only these cell IDs (comma-separated, e.g. redis/das/9pfs/*/crash)")
 		parallel   = flag.Int("parallel", 0, "worker-pool size; 0 = GOMAXPROCS")
-		shards     = flag.Int("shards", 0, "shard-baton count per trial instance (0 = legacy single baton; results are byte-identical across counts)")
 		jsonOut    = flag.String("json", "", "write the recovery matrix as JSON to this file")
 		traceDir   = flag.String("trace-dir", "", "dump a Chrome trace for every failing trial into this directory")
 		list       = flag.Bool("list", false, "print the enumerated cell IDs and exit without running")
@@ -71,7 +70,6 @@ func main() {
 		},
 		Seed:           *seed,
 		Parallel:       *parallel,
-		Shards:         *shards,
 		TraceDir:       *traceDir,
 		Trials:         splitList(*trial),
 		Ckpt:           ckpt.Policy{EveryCalls: *ckptEvery, LogThreshold: *ckptThresh},

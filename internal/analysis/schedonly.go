@@ -14,26 +14,6 @@ var concurrencyExemptPkgs = map[string]bool{
 	modulePath + "/internal/campaign": true,
 }
 
-// shardOwnerPkgs may assign shard-baton ownership. Under the sharded
-// engine a thread's shard ordinal IS the determinism contract: threads
-// sharing mutable state must co-locate at every shard count, and only
-// the kernel (internal/core, which pins each group's worker and each
-// app thread to its group-derived ordinal) has the global view to keep
-// that true. A component reassigning ordinals would move threads
-// between runner buckets and silently change which slices co-locate.
-var shardOwnerPkgs = map[string]bool{
-	modulePath + "/internal/core": true,
-}
-
-// shardBatonMethods are the sched mutators that assign a thread (or the
-// scheduler) to shard batons. Components receive ownership through
-// Ctx.Go / Sys.GoShard instead of touching batons directly.
-var shardBatonMethods = map[string]bool{
-	"SetShards": true,
-	"SetShard":  true,
-	"SetClass":  true,
-}
-
 // SchedOnly enforces the single-vCPU cooperative execution model: the
 // simulated unikernel has exactly one vCPU, so threads are
 // sched.Thread values multiplexed by internal/sched, never raw
@@ -44,10 +24,7 @@ var shardBatonMethods = map[string]bool{
 var SchedOnly = &Analyzer{
 	Name: "schedonly",
 	Doc: "raw go statements, sync, and sync/atomic are reserved for internal/sched " +
-		"and internal/campaign's worker pool; everything else runs on the cooperative scheduler. " +
-		"Shard-baton assignment (SetShards/SetShard/SetClass) is additionally reserved to " +
-		"internal/core: a component may only touch its own shard's baton, and it gets that " +
-		"baton from Ctx.Go / Sys.GoShard, never by reassigning ordinals",
+		"and internal/campaign's worker pool; everything else runs on the cooperative scheduler",
 	Run: runSchedOnly,
 }
 
@@ -67,24 +44,11 @@ func runSchedOnly(pass *Pass) error {
 					pass.Path, path)
 			}
 		}
-		owner := shardOwnerPkgs[pass.Path]
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch v := n.(type) {
-			case *ast.GoStmt:
-				pass.Reportf(v.Pos(),
+			if g, ok := n.(*ast.GoStmt); ok {
+				pass.Reportf(g.Pos(),
 					"raw go statement in %s: simulated threads must be spawned through internal/sched (sched.Scheduler.Spawn / Ctx.Go) so the single-vCPU dispatcher schedules them",
 					pass.Path)
-			case *ast.CallExpr:
-				if owner {
-					return true
-				}
-				sel, ok := v.Fun.(*ast.SelectorExpr)
-				if !ok || !shardBatonMethods[sel.Sel.Name] {
-					return true
-				}
-				pass.Reportf(v.Pos(),
-					"shard-baton assignment %s in %s: only internal/core assigns shard ownership; components receive their shard through Ctx.Go / Sys.GoShard (equal ordinals are what keep shard counts byte-identical)",
-					sel.Sel.Name, pass.Path)
 			}
 			return true
 		})

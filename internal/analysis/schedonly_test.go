@@ -25,22 +25,3 @@ func TestSchedOnlyWorkerPoolExempt(t *testing.T) {
 			"vampos/internal/campaign": "src/schedonly/pool",
 		})
 }
-
-// TestSchedOnlyShardOwnership flags direct shard-baton assignment in a
-// component package (reads of a thread's own ordinal stay legal, and a
-// justified //vampos:allow silences one pin).
-func TestSchedOnlyShardOwnership(t *testing.T) {
-	analysistest.Run(t, analysistest.Testdata(t), analysis.SchedOnly,
-		"schedonly/shard", map[string]string{
-			"schedonly/shard": "src/schedonly/shard",
-		})
-}
-
-// TestSchedOnlyShardOwnerExempt poses a fixture as internal/core, the
-// shard owner: assigning a worker's class and ordinal is its job.
-func TestSchedOnlyShardOwnerExempt(t *testing.T) {
-	analysistest.Run(t, analysistest.Testdata(t), analysis.SchedOnly,
-		"vampos/internal/core", map[string]string{
-			"vampos/internal/core": "src/schedonly/owner",
-		})
-}

@@ -58,18 +58,10 @@ type App struct {
 	// modelling the hash-table rebuild a real Redis pays when reloading
 	// its AOF after a full reboot (the multi-second outage of Fig. 8).
 	ReplayCost time.Duration
-	// CPUWork makes each accepted SET perform that many real checksum
-	// passes over the value before it is stored. A real Redis spends
-	// per-request CPU on parsing, hashing, and serialization that this
-	// model otherwise skips; the sustained-load scaling figure sets this
-	// so request handling is CPU-bound and core scaling is measurable.
-	// Zero (the default) keeps the historical behaviour.
-	CPUWork int
 
-	store    map[string]valueRef
-	aofFD    int
-	writes   int
-	workSink uint64
+	store  map[string]valueRef
+	aofFD  int
+	writes int
 
 	// Stats
 	Sets, Gets, Dels uint64
@@ -194,37 +186,26 @@ func (a *App) loadAOF(s *unikernel.Sys) error {
 	return nil
 }
 
-// setValue stores a value in the application arena. The mutation runs
-// through Thread.Do: the application heap is one allocator shared by
-// every app thread, so inside a buffered round slice the alloc/free and
-// the store-map update are journaled and execute at the round commit in
-// merge order — the only way concurrent cells can share the allocator
-// without racing and without making addresses depend on runner timing.
-// Outside a round Do runs the closure inline, so the legacy baton's
-// behaviour is bit-for-bit unchanged. Deferral is invisible to the
-// protocol: the +OK response crosses the network strictly after the
-// commit, so a follow-up GET always sees the committed value.
+// setValue stores a value in the application arena.
 func (a *App) setValue(s *unikernel.Sys, key string, val []byte) {
-	s.Ctx().Thread().Do(func() {
-		if old, ok := a.store[key]; ok {
-			_ = s.Ctx().Heap().Free(old.addr)
-		}
-		size := len(val)
-		if size == 0 {
-			size = 1
-		}
-		addr, err := s.Ctx().Heap().Alloc(int64(size))
-		if err != nil {
-			// Arena full: fall back to dropping the oldest semantics would
-			// be an eviction policy; the model simply refuses.
-			return
-		}
-		if err := s.Ctx().Mem().Write(addr, val); err != nil {
-			_ = s.Ctx().Heap().Free(addr)
-			return
-		}
-		a.store[key] = valueRef{addr: addr, size: len(val)}
-	})
+	if old, ok := a.store[key]; ok {
+		_ = s.Ctx().Heap().Free(old.addr)
+	}
+	size := len(val)
+	if size == 0 {
+		size = 1
+	}
+	addr, err := s.Ctx().Heap().Alloc(int64(size))
+	if err != nil {
+		// Arena full: fall back to dropping the oldest semantics would
+		// be an eviction policy; the model simply refuses.
+		return
+	}
+	if err := s.Ctx().Mem().Write(addr, val); err != nil {
+		_ = s.Ctx().Heap().Free(addr)
+		return
+	}
+	a.store[key] = valueRef{addr: addr, size: len(val)}
 }
 
 func (a *App) getValue(s *unikernel.Sys, key string) ([]byte, bool) {
@@ -239,22 +220,13 @@ func (a *App) getValue(s *unikernel.Sys, key string) ([]byte, bool) {
 	return val, true
 }
 
-// delValue removes a key; the arena free is deferred exactly as in
-// setValue (shared-allocator rule). The existence check stays in-slice:
-// only this connection's thread mutates this cell's store, so the check
-// is stale only against writes journaled earlier in the same slice — a
-// same-chunk pipelined mutation, which the one-command-per-round-trip
-// clients never produce (a double DEL in one chunk degrades to an
-// idempotent no-op free at commit).
 func (a *App) delValue(s *unikernel.Sys, key string) bool {
 	ref, ok := a.store[key]
 	if !ok {
 		return false
 	}
-	s.Ctx().Thread().Do(func() {
-		_ = s.Ctx().Heap().Free(ref.addr)
-		delete(a.store, key)
-	})
+	_ = s.Ctx().Heap().Free(ref.addr)
+	delete(a.store, key)
 	return true
 }
 
@@ -302,18 +274,6 @@ func (a *App) serve(s *unikernel.Sys, fd int) {
 			}
 		}
 	}
-}
-
-// fnvFold runs one FNV-1a pass over s seeded with acc: the CPUWork
-// checksum kernel. Folding into an accumulator the caller stores keeps
-// the work observable, so it cannot be optimized away.
-func fnvFold(acc uint64, s string) uint64 {
-	h := acc ^ 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 func indexByte(p []byte, b byte) int {
@@ -422,9 +382,6 @@ func (a *App) Execute(s *unikernel.Sys, line string) string {
 	case "PING":
 		return "+PONG\n"
 	case "SET":
-		for p := 0; p < a.CPUWork; p++ {
-			a.workSink = fnvFold(a.workSink, cmd.Val)
-		}
 		a.setValue(s, cmd.Key, []byte(cmd.Val))
 		a.Sets++
 		if err := a.appendAOF(s, "SET "+cmd.Key+" "+cmd.Val+"\n"); err != nil {

@@ -120,14 +120,6 @@ type Scale struct {
 	ClusterKillAt      int // write index at which the victim dies
 	ClusterReviveAt    int // write index at which it revives and resyncs
 	ClusterGossipEvery int // background gossip round every N writes
-
-	// Scaling figure (sharded batons: wall-clock throughput vs GOMAXPROCS)
-	ScalingCells      int   // independent redis cells in one instance, one shard each
-	ScalingOpsPerCell int   // SETs each cell's client issues
-	ScalingValueBytes int   // SET value size
-	ScalingCPUWork    int   // checksum passes per SET (CPU weight of each handler slice)
-	ScalingShards     int   // shard-baton count for the scaled rows
-	ScalingProcs      []int // GOMAXPROCS grid (first entry is the baseline row)
 }
 
 // DefaultScale keeps the full suite fast while preserving every shape.
@@ -173,12 +165,6 @@ func DefaultScale() Scale {
 		ClusterKillAt:      44,
 		ClusterReviveAt:    80,
 		ClusterGossipEvery: 8,
-		ScalingCells:       4,
-		ScalingOpsPerCell:  400,
-		ScalingValueBytes:  512,
-		ScalingCPUWork:     2048,
-		ScalingShards:      4,
-		ScalingProcs:       []int{1, 2, 4},
 	}
 }
 
@@ -214,9 +200,6 @@ func PaperScale() Scale {
 	s.ClusterKillAt = 200
 	s.ClusterReviveAt = 400
 	s.ClusterGossipEvery = 16
-	s.ScalingCells = 8
-	s.ScalingOpsPerCell = 1500
-	s.ScalingValueBytes = 1024
 	return s
 }
 

@@ -26,11 +26,10 @@ type Suite struct {
 	Cluster  *ClusterResult
 	Micro    *MicrorebootResult
 	Defense  *DefenseResult
-	Scaling  *ScalingResult
 }
 
 // experiment names accepted by Run.
-var experimentNames = []string{"fig5", "table3", "fig6", "fig7", "table4", "table5", "fig8", "ablation", "recovery", "aging", "cluster", "microreboot", "defense", "scaling"}
+var experimentNames = []string{"fig5", "table3", "fig6", "fig7", "table4", "table5", "fig8", "ablation", "recovery", "aging", "cluster", "microreboot", "defense"}
 
 // ExperimentNames lists the runnable experiment ids.
 func ExperimentNames() []string {
@@ -114,11 +113,6 @@ func (s *Suite) Run(name string, w io.Writer) error {
 			s.Defense, err = RunDefense(s.Scale)
 			if err == nil {
 				out = s.Defense.Render()
-			}
-		case "scaling":
-			s.Scaling, err = RunScaling(s.Scale)
-			if err == nil {
-				out = s.Scaling.Render()
 			}
 		default:
 			return fmt.Errorf("bench: unknown experiment %q (have %v)", id, experimentNames)

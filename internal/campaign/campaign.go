@@ -48,11 +48,6 @@ type Options struct {
 	// rejuvenation policy aging cells arm. The leak-slope sensor should
 	// stay enabled: the aging oracle attributes the rejuvenation to it.
 	Aging aging.Policy
-	// Shards sets every trial instance's shard-baton count (core
-	// Config.Shards): 0 keeps the legacy single-baton scheduler, any
-	// positive count runs the deterministic round engine. Trial outcomes
-	// and matrices are byte-identical across shard counts.
-	Shards int
 }
 
 // Run enumerates the selected injection space and executes it.

@@ -47,7 +47,6 @@ func runDefenseTrial(cell Cell, opts Options) (res CellResult) {
 		return failResult(res, err)
 	}
 	cc.HangThreshold = trialHangThreshold
-	cc.Shards = opts.Shards
 	cc.WatchdogPeriod = trialWatchdogPeriod
 	cc.MaxVirtualTime = trialMaxVirtual
 	// The taint-aware rollback needs an image history to land on, and the

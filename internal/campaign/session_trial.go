@@ -59,7 +59,6 @@ func runSessionTrial(cell Cell, opts Options) (res CellResult) {
 		return failResult(res, err)
 	}
 	cc.HangThreshold = trialHangThreshold
-	cc.Shards = opts.Shards
 	cc.WatchdogPeriod = trialWatchdogPeriod
 	cc.MaxVirtualTime = trialMaxVirtual
 	cc.Ckpt = opts.Ckpt

@@ -149,7 +149,6 @@ func runTrial(cell Cell, opts Options) (res CellResult) {
 		return failResult(res, err)
 	}
 	cc.HangThreshold = trialHangThreshold
-	cc.Shards = opts.Shards
 	cc.WatchdogPeriod = trialWatchdogPeriod
 	cc.MaxVirtualTime = trialMaxVirtual
 	cc.Ckpt = opts.Ckpt

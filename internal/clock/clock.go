@@ -57,19 +57,6 @@ func (v *Virtual) Elapsed() time.Duration {
 	return v.offset
 }
 
-// At converts an offset since Epoch into an absolute instant. Shard-local
-// time views (a thread's Elapsed while it runs inside a buffered round
-// slice) use it to render absolute times without reading the shared offset.
-func (v *Virtual) At(d time.Duration) time.Time { return Epoch.Add(d) }
-
-// Watermark returns the monotone global watermark of the sharded
-// simulation. Under the round engine each shard runs ahead of this value
-// by at most its own in-flight slice charges (its shard-local virtual
-// time); the watermark itself advances only on the conductor, at commit,
-// in merge order — so it never moves backwards and never exposes a
-// half-committed round. With a single baton it is simply Elapsed.
-func (v *Virtual) Watermark() time.Duration { return v.Elapsed() }
-
 // Advance moves the clock forward by d and fires, in deadline order, every
 // timer whose deadline has been reached. It returns the number of timers
 // fired. Advancing by a negative duration panics: the simulation never

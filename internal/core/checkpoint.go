@@ -6,7 +6,6 @@ import (
 
 	"vampos/internal/ckpt"
 	"vampos/internal/msg"
-	"vampos/internal/sched"
 	"vampos/internal/trace"
 )
 
@@ -68,7 +67,7 @@ func (rt *Runtime) maybeCheckpoint(g *group) {
 		if !c.tracker.Due(c.domain.Log().Len()) {
 			continue
 		}
-		if err := rt.checkpointComponent(g.worker.t, c); err != nil {
+		if err := rt.checkpointComponent(c); err != nil {
 			// A failed capture leaves the previous image and the untruncated
 			// log in place — recovery is still correct, just not cheaper.
 			rt.stats.checkpointErrors.Add(1)
@@ -81,10 +80,7 @@ func (rt *Runtime) maybeCheckpoint(g *group) {
 // truncation of the log prefix the new image covers. The caller must
 // guarantee quiescence. On error the component's previous checkpoint and
 // log are left untouched.
-// th is the simulated thread doing the capture (the group worker, or the
-// caller of Ctx.Checkpoint); the capture cost is charged to it so the
-// charge lands in the right shard's journal during buffered rounds.
-func (rt *Runtime) checkpointComponent(th *sched.Thread, c *component) error {
+func (rt *Runtime) checkpointComponent(c *component) error {
 	tr := rt.tracer
 	var sp trace.SpanID
 	if tr != nil {
@@ -152,8 +148,8 @@ func (rt *Runtime) checkpointComponent(th *sched.Thread, c *component) error {
 	}
 	// Charge what the mechanism actually moved: dirty pages copied into
 	// the image (the whole point of the delta) plus the log rewrite.
-	rt.chargeOn(th, time.Duration(dirtyPages)*rt.costs.SnapshotPerPage)
-	rt.chargeOn(th, time.Duration(dropped+folded)*rt.costs.LogAppend)
+	rt.charge(time.Duration(dirtyPages) * rt.costs.SnapshotPerPage)
+	rt.charge(time.Duration(dropped+folded) * rt.costs.LogAppend)
 	c.tracker.NoteCheckpoint(dirtyPages, dropped, folded)
 	rt.stats.checkpoints.Add(1)
 	if tr != nil {
@@ -193,7 +189,7 @@ func (c *Ctx) Checkpoint(name string) error {
 	if g.failedTwice {
 		return fmt.Errorf("%w: %s", ErrComponentFailed, name)
 	}
-	return rt.checkpointComponent(c.th, tc)
+	return rt.checkpointComponent(tc)
 }
 
 // CheckpointStats returns the named component's checkpoint accounting.

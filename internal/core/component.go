@@ -232,9 +232,6 @@ type group struct {
 	members []*component
 	key     mem.Key
 	mailbox *msg.Domain
-	// shard is the group's shard ordinal under the sharded-baton engine
-	// (assigned in buildGroups; meaningless while Config.Shards == 0).
-	shard int
 
 	worker      *workerThread
 	rebooting   bool

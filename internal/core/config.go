@@ -44,19 +44,6 @@ type Config struct {
 	// Merges lists component groups that share one thread, one key and
 	// one mailbox (§V-F). Each inner slice is one merged group.
 	Merges [][]string
-	// Shards enables the sharded-baton round engine with this many
-	// runner goroutines (message-passing mode only). Zero — the default —
-	// keeps the paper's single global baton bit-for-bit. Any value >= 1
-	// switches to deterministic parallel rounds; by construction the
-	// observable behaviour is identical for every positive shard count,
-	// so Shards only decides how much real hardware the rounds may use.
-	Shards int
-	// ShardOf overrides the shard ordinal of named component groups.
-	// Groups default to ordinal 1 + registration index (application
-	// threads run on ordinal 0); groups that share mutable state outside
-	// the message-passing boundary must be given equal ordinals so they
-	// co-locate on one runner at every shard count.
-	ShardOf map[string]int
 	// LogShrinkThreshold triggers component log compaction when a log
 	// exceeds this many entries. The paper's default is 100.
 	LogShrinkThreshold int

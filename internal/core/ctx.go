@@ -52,14 +52,11 @@ func (c *Ctx) Heap() *mem.Buddy {
 	return c.rt.appHeap
 }
 
-// Now returns the current virtual time as this context's thread sees it.
-// Inside a buffered round slice that is the shard-local view (the global
-// watermark plus the thread's own charges); elsewhere it is the global
-// clock.
-func (c *Ctx) Now() time.Time { return c.rt.clk.At(c.th.Elapsed()) }
+// Now returns the current virtual time.
+func (c *Ctx) Now() time.Time { return c.rt.clk.Now() }
 
-// Elapsed returns virtual time since boot (shard-local during rounds).
-func (c *Ctx) Elapsed() time.Duration { return c.th.Elapsed() }
+// Elapsed returns virtual time since boot.
+func (c *Ctx) Elapsed() time.Duration { return c.rt.clk.Elapsed() }
 
 // Sleep suspends the thread for d of virtual time.
 func (c *Ctx) Sleep(d time.Duration) { c.th.Sleep(d) }
@@ -95,40 +92,14 @@ func (c *Ctx) callerName() string {
 
 // Go spawns an additional application thread running fn. It is how the
 // workloads create their 25 Nginx workers or per-connection handlers.
-// The thread inherits the spawner's shard ordinal, so threads that share
-// state stay on one shard baton and serialize against each other.
 func (c *Ctx) Go(name string, fn func(*Ctx)) *sched.Thread {
-	return c.goShard(name, c.th.ShardOrdinal(), fn)
-}
-
-// GoShard spawns an application thread pinned to an explicit shard
-// ordinal. Workload drivers whose threads are mutually independent use
-// distinct ordinals so the round engine can run them on different cores;
-// the ordinal is folded modulo the configured shard count, so any
-// non-negative value is valid at any -shards setting.
-func (c *Ctx) GoShard(name string, shard int, fn func(*Ctx)) *sched.Thread {
-	return c.goShard(name, shard, fn)
-}
-
-func (c *Ctx) goShard(name string, shard int, fn func(*Ctx)) *sched.Thread {
 	pkru := mem.PKRU(mem.AllowAll)
 	if c.rt.cfg.MessagePassing {
 		pkru = mem.Allow(keyApp)
 	}
-	t := c.rt.sch.SpawnFrom(c.th, name, pkru, func(t *sched.Thread) {
+	return c.rt.sch.Spawn(name, pkru, func(t *sched.Thread) {
 		fn(&Ctx{rt: c.rt, th: t, appName: name})
 	})
-	if c.rt.cfg.MessagePassing {
-		// Application threads are app-class: the shard engine pens them
-		// until conductor quiescence so independent application domains'
-		// handler work lands in one wide parallel round. In vanilla mode
-		// calls execute on the caller's thread with direct state sharing,
-		// so threads stay in the system class and the legacy baton
-		// serializes them.
-		t.SetClass(sched.ClassApp)
-		t.SetShard(shard)
-	}
-	return t
 }
 
 // SaveRuntimeState records component runtime data that log replay cannot

@@ -6,7 +6,6 @@ import (
 	"vampos/internal/ckpt"
 	"vampos/internal/defense"
 	"vampos/internal/msg"
-	"vampos/internal/sched"
 	"vampos/internal/trace"
 )
 
@@ -37,7 +36,7 @@ func (rt *Runtime) installDefense() {
 // tamper item to the message thread and returns true: the worker must
 // die, exactly like a crash, and the message thread drives the
 // taint-aware reboot.
-func (rt *Runtime) maybeDefense(t *sched.Thread, g *group) bool {
+func (rt *Runtime) maybeDefense(g *group) bool {
 	p := rt.cfg.Defense
 	if !p.Enabled || g.rebooting || g.failedTwice {
 		return false
@@ -67,7 +66,7 @@ func (rt *Runtime) maybeDefense(t *sched.Thread, g *group) bool {
 			continue
 		}
 		w := c.seal.Watermark()
-		rt.submitFrom(t, mqItem{kind: mqTamper, grp: g, comp: c, seq: w, reason: "seal"})
+		rt.submit(mqItem{kind: mqTamper, grp: g, comp: c, seq: w, reason: "seal"})
 		return true
 	}
 	return false

@@ -132,8 +132,7 @@ func (rt *Runtime) checkFault(ctx *Ctx, component, fn string) error {
 		return nil
 	}
 	// Resolve under the lock, then act outside it: a crash fault panics and
-	// a hang fault never returns, and neither may hold armedMu while other
-	// shards' handlers consult their own armed entries.
+	// a hang fault never returns, and neither may leave armedMu held.
 	rt.armedMu.Lock()
 	if rt.armed == nil {
 		rt.armedMu.Unlock()

@@ -55,27 +55,13 @@ type mqItem struct {
 	reason string     // mqFailure: panic value; mqTamper: detector name
 }
 
-// submit hands an item to the message thread. Conductor-dispatched
-// contexts only: the queue and the wake both mutate conductor-owned
-// state. Domain-thread code paths go through submitFrom.
+// submit hands an item to the message thread.
 func (rt *Runtime) submit(it mqItem) {
 	rt.mq = append(rt.mq, it)
 	if rt.msgThread != nil {
 		rt.msgThread.Wake()
 		rt.sch.Hint(rt.msgThread)
 	}
-}
-
-// submitFrom hands an item to the message thread on behalf of th. When
-// th is executing inside a buffered round slice the submission is
-// journaled, landing on the queue at commit in the deterministic merge
-// order — the seqlocked handoff at the cross-shard boundary.
-func (rt *Runtime) submitFrom(th *sched.Thread, it mqItem) {
-	if th != nil && th.Buffering() {
-		th.Do(func() { rt.submit(it) })
-		return
-	}
-	rt.submit(it)
 }
 
 // Call invokes fn on the target component. In vanilla mode (and within a
@@ -103,7 +89,7 @@ func (c *Ctx) Call(target, fn string, args ...any) (msg.Args, error) {
 	sameGroup := c.comp != nil && c.comp.group == tc.group
 	if !rt.cfg.MessagePassing || sameGroup {
 		rt.stats.directCalls.Add(1)
-		rt.chargeOn(c.th, rt.costs.DirectCall)
+		rt.charge(rt.costs.DirectCall)
 		sub := &Ctx{rt: rt, comp: tc, th: c.th, replay: c.replay}
 		if tr := rt.tracer; tr != nil {
 			sub.span = tr.Begin(c.span, trace.KindDirect, c.callerName(), target, fn)
@@ -135,9 +121,7 @@ func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Args) 
 	}
 	for attempt := 0; ; attempt++ {
 		// The call's sequence number and pending-map entry are assigned
-		// by the message thread in handlePush: callers may be executing
-		// on different shards concurrently, and the conductor-side queue
-		// drain is the one place with a canonical order.
+		// by the message thread in handlePush, in queue drain order.
 		pc := &pendingCall{
 			from: c.callerName(), fromGrp: fromGrp,
 			to: tc, fn: fn, args: args, caller: c.th,
@@ -149,7 +133,7 @@ func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Args) 
 			}
 		}
 		rt.stats.calls.Add(1)
-		rt.submitFrom(c.th, mqItem{kind: mqPush, pc: pc})
+		rt.submit(mqItem{kind: mqPush, pc: pc})
 		for !pc.done {
 			c.th.Block("call " + tc.desc.Name + "." + fn)
 		}
@@ -169,7 +153,7 @@ func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Args) 
 				continue
 			}
 			g.failedTwice = true
-			c.th.Do(func() { rt.notifyFailStop(g) })
+			rt.notifyFailStop(g)
 			return nil, fmt.Errorf("%w: %s.%s failed across reboot", ErrComponentFailed, tc.desc.Name, fn)
 		}
 		// Wait out the reboot, then re-submit the same input.
@@ -177,7 +161,7 @@ func (rt *Runtime) callMessage(c *Ctx, tc *component, fn string, args msg.Args) 
 			c.th.Sleep(10 * time.Microsecond)
 		}
 		if g.failedTwice {
-			c.th.Do(func() { rt.notifyFailStop(g) })
+			rt.notifyFailStop(g)
 			return nil, fmt.Errorf("%w: %s", ErrComponentFailed, tc.desc.Name)
 		}
 	}
@@ -223,7 +207,7 @@ func (rt *Runtime) Inject(from *Ctx, target, fn string, args ...any) error {
 		pc.span = tr.Begin(from.span, trace.KindCall, from.callerName(), tc.desc.Name, fn)
 		tr.Annotate(pc.span, "inject")
 	}
-	rt.submitFrom(th, mqItem{kind: mqPush, pc: pc})
+	rt.submit(mqItem{kind: mqPush, pc: pc})
 	return nil
 }
 
@@ -265,9 +249,7 @@ func (rt *Runtime) msgLoop(t *sched.Thread) {
 func (rt *Runtime) handlePush(pc *pendingCall) {
 	g := pc.to.group
 	// Sequence numbers are minted here, on the message thread, in queue
-	// drain order: with callers running on parallel shards this is the
-	// first point with a canonical total order, and with a single baton
-	// it assigns exactly the values the caller-side increment used to.
+	// drain order: the canonical total order of calls.
 	rt.nextSeq++
 	pc.seq = rt.nextSeq
 	rt.pending[pc.seq] = pc
@@ -350,8 +332,8 @@ func (rt *Runtime) finishCall(pc *pendingCall, rets msg.Args, errStr string) {
 	pc.rets = rets
 	pc.errStr = errStr
 	pc.done = true
-	// The pending map is conductor-owned; remove the entry here rather
-	// than on the caller's thread (which may park on another shard).
+	// The pending map belongs to the message thread; the entry goes when
+	// the call resolves, whether or not a caller wakes for it.
 	delete(rt.pending, pc.seq)
 	if pc.noReply || pc.caller == nil || pc.caller.State() == sched.StateDone {
 		// Nobody will wake to close the call span; close it here.

@@ -195,7 +195,7 @@ func (rt *Runtime) microrebootGroup(t *sched.Thread, g *group, task *microTask) 
 				return de
 			}
 		}
-		t.Charge(rt.costs.ReplayPerEntry)
+		rt.charge(rt.costs.ReplayPerEntry)
 		c.domain.Log().MarkReplayed(1)
 		replayed++
 	}
@@ -212,15 +212,14 @@ func (rt *Runtime) microrebootGroup(t *sched.Thread, g *group, task *microTask) 
 	c.micro.Add(1)
 	rt.recMu.Lock()
 	rt.microreboots = append(rt.microreboots, MicrorebootRecord{
-		Component: c.desc.Name,
-		Session:   string(task.session),
-		Reason:    task.reason,
-		// Worker-thread time view, as in restoreGroup's RebootRecord.
-		VirtualDuration: t.Elapsed() - task.startV,
+		Component:       c.desc.Name,
+		Session:         string(task.session),
+		Reason:          task.reason,
+		VirtualDuration: rt.clk.Elapsed() - task.startV,
 		//vampos:allow detclock -- closes the wall-time measurement opened in beginMicroreboot; presentation-only
 		WallDuration:    time.Since(task.startW),
 		ReplayedEntries: replayed,
-		At:              rt.clk.At(t.Elapsed()),
+		At:              rt.clk.Now(),
 	})
 	rt.recMu.Unlock()
 	if tr != nil {

@@ -233,7 +233,7 @@ func (rt *Runtime) restoreGroup(t *sched.Thread, g *group) error {
 			// free, so a mostly-untouched arena no longer bills its full
 			// span on every reboot.
 			restoredPages += c.checkpoint.memSnap.Resident
-			t.Charge(time.Duration(c.checkpoint.memSnap.Resident) * rt.costs.SnapshotPerPage)
+			rt.charge(time.Duration(c.checkpoint.memSnap.Resident) * rt.costs.SnapshotPerPage)
 			if ss, ok := c.comp.(StateSaver); ok && c.checkpoint.control != nil {
 				if err := ss.RestoreState(c.checkpoint.control); err != nil {
 					return fmt.Errorf("core: restore state of %q: %w", c.desc.Name, err)
@@ -253,7 +253,7 @@ func (rt *Runtime) restoreGroup(t *sched.Thread, g *group) error {
 			if cr, ok := c.comp.(ColdResetter); ok {
 				cr.Reset()
 			}
-			t.Charge(rt.costs.ColdInit)
+			rt.charge(rt.costs.ColdInit)
 			coldBoot = true
 			if defPol.Enabled && defPol.Rerandomize {
 				// Cold members re-randomize before Init so even the boot
@@ -351,7 +351,7 @@ func (rt *Runtime) restoreGroup(t *sched.Thread, g *group) error {
 				return de
 			}
 		}
-		t.Charge(rt.costs.ReplayPerEntry)
+		rt.charge(rt.costs.ReplayPerEntry)
 		it.c.domain.Log().MarkReplayed(1)
 		// Replay is execution: the arena now reflects this call, and the
 		// next checkpoint (the post-rollback re-square in particular, whose
@@ -381,7 +381,7 @@ func (rt *Runtime) restoreGroup(t *sched.Thread, g *group) error {
 	// post-tamper host stamps the new clean baseline. Then fingerprint
 	// every member's (re-randomized) arena layout.
 	for _, c := range taintedComps {
-		if err := rt.checkpointComponent(t, c); err != nil {
+		if err := rt.checkpointComponent(c); err != nil {
 			return fmt.Errorf("core: post-rollback checkpoint of %q: %w", c.desc.Name, err)
 		}
 		c.taint = nil
@@ -403,18 +403,15 @@ func (rt *Runtime) restoreGroup(t *sched.Thread, g *group) error {
 	}
 	rt.recMu.Lock()
 	rt.reboots = append(rt.reboots, RebootRecord{
-		Group:      g.name,
-		Components: names,
-		Reason:     g.rebootReason,
-		// The worker's own time view: during a buffered round the global
-		// clock still reads the round base, but the restore's charges are
-		// this thread's and belong in its reboot latency.
-		VirtualDuration: t.Elapsed() - g.rebootStartV,
+		Group:           g.name,
+		Components:      names,
+		Reason:          g.rebootReason,
+		VirtualDuration: rt.clk.Elapsed() - g.rebootStartV,
 		//vampos:allow detclock -- closes the wall-time measurement opened in beginReboot; presentation-only
 		WallDuration:       time.Since(g.rebootStartW),
 		ReplayedEntries:    replayed,
 		RestoredPages:      restoredPages,
-		At:                 rt.clk.At(t.Elapsed()),
+		At:                 rt.clk.Now(),
 		TaintWatermark:     taintW,
 		RestoredEpochSeq:   restoredEpochSeq,
 		QuarantinedImages:  quarantinedNow,

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	//vampos:allow schedonly -- recMu guards reboot/full-restart records snapshotted by campaign worker goroutines while simulated threads append
+	//vampos:allow schedonly -- recMu guards reboot/full-restart records snapshotted by campaign worker goroutines while simulated threads append; armedMu guards armed faults that campaigns arm and inspect while handlers consume them
 	"sync"
 	"time"
 
@@ -91,9 +91,9 @@ type Runtime struct {
 	reboots      []RebootRecord
 	microreboots []MicrorebootRecord
 	fullRestarts []FullRestartStats
-	// armedMu guards armed: checkFault runs inside handler slices, which
-	// under the sharded-baton engine execute concurrently across shards,
-	// while campaigns arm and inspect from outside the scheduler.
+	// armedMu guards armed: handlers consult and consume it on simulated
+	// threads while campaigns arm and inspect it from outside the
+	// scheduler.
 	armedMu sync.Mutex
 	armed   map[string]*armedFault
 
@@ -136,9 +136,6 @@ func NewRuntime(cfg Config) *Runtime {
 		panic(err) // fresh scheduler; cannot already have memory
 	}
 	s.SetDispatchCost(DefaultCostModel().Dispatch)
-	if cfg.MessagePassing && cfg.Shards > 0 {
-		s.SetShards(cfg.Shards)
-	}
 	rt := &Runtime{
 		cfg:     cfg,
 		costs:   DefaultCostModel(),
@@ -200,27 +197,11 @@ func (rt *Runtime) Scheduler() *sched.Scheduler { return rt.sch }
 // Memory returns the guest address space.
 func (rt *Runtime) Memory() *mem.Memory { return rt.memry }
 
-// charge advances virtual time by the given mechanism cost. It may only
-// be called from conductor-dispatched (live) contexts — the message
-// thread, watchdog, and other system threads; code that can run inside a
-// buffered round slice must use chargeOn with its thread.
+// charge advances virtual time by the given mechanism cost.
 func (rt *Runtime) charge(d time.Duration) {
 	if d > 0 {
 		rt.clk.Advance(d)
 	}
-}
-
-// chargeOn advances virtual time on behalf of th: live when th holds the
-// real baton, journaled into th's slice during a parallel round.
-func (rt *Runtime) chargeOn(th *sched.Thread, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if th != nil {
-		th.Charge(d)
-		return
-	}
-	rt.clk.Advance(d)
 }
 
 // Register adds a component. All registrations must happen before Boot;
@@ -329,16 +310,6 @@ func (rt *Runtime) buildGroups() error {
 		}
 		g.key = rt.nextKey
 		rt.nextKey++
-	}
-	// Shard ordinals: one per group by registration order (ordinal 0 is
-	// the application-thread shard), overridable per group. Ordinals are
-	// assigned even when Shards is off so the assignment itself never
-	// depends on the shard count.
-	for i, g := range rt.groups {
-		g.shard = i + 1
-		if n, ok := rt.cfg.ShardOf[g.name]; ok && n >= 0 {
-			g.shard = n
-		}
 	}
 	return nil
 }

@@ -35,11 +35,6 @@ func (rt *Runtime) spawnWorker(g *group, restore bool) {
 	w.t = rt.sch.Spawn("comp/"+g.name, pkru, func(t *sched.Thread) {
 		rt.workerMain(t, g, w)
 	})
-	// Workers are domain threads: under the sharded-baton engine their
-	// timeslices may run inside buffered parallel rounds, on the runner
-	// that owns the group's shard ordinal.
-	w.t.SetClass(sched.ClassDomain)
-	w.t.SetShard(g.shard)
 }
 
 func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
@@ -73,29 +68,19 @@ func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
 				}
 				// Restoration itself failed: treat as a deterministic fault
 				// and fail-stop the group (§II-B).
-				msg := "restore failed: " + err.Error()
+				g.failedTwice = true
+				g.rebooting = false
+				if tr := rt.tracer; tr != nil {
+					tr.EndErr(g.rebootSpan, "restore failed: "+err.Error())
+					g.rebootSpan, g.quiesceSpan = 0, 0
+				}
+				rt.failAllPending(g, false)
 				rt.stats.failedRestores.Add(1)
-				// The flag flips are polled by blocked callers on other
-				// shards, and failing the pending calls wakes them and
-				// mutates the conductor-owned pending map; from a round
-				// slice all of it must land at commit, in merge order.
-				t.Do(func() {
-					g.failedTwice = true
-					g.rebooting = false
-					if tr := rt.tracer; tr != nil {
-						tr.EndErr(g.rebootSpan, msg)
-						g.rebootSpan, g.quiesceSpan = 0, 0
-					}
-					rt.failAllPending(g, false)
-					rt.notifyFailStop(g)
-				})
+				rt.notifyFailStop(g)
 				return
 			}
 		}
-		// Callers blocked on the reboot poll g.rebooting from their own
-		// slices: the clear must commit in merge order, not leak mid-round
-		// to whichever threads happen to share this worker's runner.
-		t.Do(func() { g.rebooting = false })
+		g.rebooting = false
 	}
 	pollMode := rt.cfg.Policy == PolicyRoundRobin
 	for !rt.stopped {
@@ -107,8 +92,7 @@ func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
 			w.initDone[c] = true
 			w.initErr[c] = err
 			if rt.bootThread != nil {
-				boot := rt.bootThread
-				t.Do(func() { boot.Wake() })
+				rt.bootThread.Wake()
 			}
 			continue
 		}
@@ -121,7 +105,7 @@ func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
 			}
 			continue
 		}
-		t.Charge(rt.costs.MessagePull)
+		rt.charge(rt.costs.MessagePull)
 		if !rt.execMessage(t, g, m) {
 			return // component crashed; the message thread takes over
 		}
@@ -129,7 +113,7 @@ func (rt *Runtime) workerMain(t *sched.Thread, g *group, w *workerThread) {
 		// quiescent. Verify arena seals first — tampering detected now
 		// must not be baked into a fresh checkpoint image at this same
 		// quiescent point.
-		if rt.maybeDefense(t, g) {
+		if rt.maybeDefense(g) {
 			return // tamper detected; the message thread takes over
 		}
 		rt.maybeCheckpoint(g)
@@ -148,11 +132,11 @@ func (rt *Runtime) execMessage(t *sched.Thread, g *group, m *msg.Message) bool {
 	pc := rt.pending[m.Seq]
 	h, ok := c.exports[m.Fn]
 	if !ok {
-		rt.submitFrom(t, mqItem{kind: mqReply, pc: pc, errStr: errnoString(&UnknownFunctionError{Component: m.To, Fn: m.Fn})})
+		rt.submit(mqItem{kind: mqReply, pc: pc, errStr: errnoString(&UnknownFunctionError{Component: m.To, Fn: m.Fn})})
 		return true
 	}
 	g.currentSeq = m.Seq
-	g.busySinceV = t.Elapsed()
+	g.busySinceV = rt.clk.Elapsed()
 	if pc != nil && pc.rec != nil {
 		g.curRec = pc.rec
 		g.curLog = c.domain.Log()
@@ -169,9 +153,9 @@ func (rt *Runtime) execMessage(t *sched.Thread, g *group, m *msg.Message) bool {
 	var faultsBefore uint64
 	watchFaults := rt.cfg.Defense.Enabled && rt.cfg.Defense.RebootOnFault
 	if watchFaults {
-		// Per-accessor counting: under parallel rounds the global fault
-		// counter can move on another shard mid-handler, which would
-		// attribute a neighbour's PKRU misuse to this component.
+		// Per-accessor counting: the handler may block on a nested call
+		// while other threads run, and their faults must not count
+		// against this component.
 		faultsBefore = t.Accessor().Faults()
 	}
 	rets, err, pv, panicked := rt.invokeChecked(h, ctx, c.desc.Name, m.Fn, m.Args)
@@ -186,7 +170,7 @@ func (rt *Runtime) execMessage(t *sched.Thread, g *group, m *msg.Message) bool {
 			// it unfinished.
 			tr.Instant(ctx.span, trace.KindCrash, c.desc.Name, m.Fn, reason)
 		}
-		rt.submitFrom(t, mqItem{kind: mqFailure, grp: g, seq: m.Seq, reason: reason})
+		rt.submit(mqItem{kind: mqFailure, grp: g, seq: m.Seq, reason: reason})
 		return false
 	}
 	if tr := rt.tracer; tr != nil {
@@ -200,15 +184,15 @@ func (rt *Runtime) execMessage(t *sched.Thread, g *group, m *msg.Message) bool {
 	if err != nil {
 		c.errs.Add(1)
 	}
-	c.busyV.Add(int64(t.Elapsed() - g.busySinceV))
-	rt.submitFrom(t, mqItem{kind: mqReply, pc: pc, rets: rets, errStr: errnoString(err)})
+	c.busyV.Add(int64(rt.clk.Elapsed() - g.busySinceV))
+	rt.submit(mqItem{kind: mqReply, pc: pc, rets: rets, errStr: errnoString(err)})
 	if watchFaults && t.Accessor().Faults() > faultsBefore {
 		// The handler raised protection faults: a PKRU-misuse attempt,
 		// confined by interposition but evidence of compromise. The reply
 		// is already queued (callers observe the EFAULT, not the reboot);
 		// the message thread reboots the offender into a re-randomized
 		// incarnation after delivering it.
-		rt.submitFrom(t, mqItem{kind: mqBreach, grp: g, comp: c})
+		rt.submit(mqItem{kind: mqBreach, grp: g, comp: c})
 		return false
 	}
 	return true

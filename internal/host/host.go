@@ -212,35 +212,8 @@ func (h *Host) p9Loop(t *sched.Thread) {
 	}
 }
 
-// wireSleep charges one frame's time on the virtual wire. The legacy
-// scheduler sleeps the relative Wire latency. Under the sharded batons
-// the wake is instead rounded up to the next absolute Wire-latency grid
-// point — interrupt coalescing, as virtio-net rx batching does — so
-// frames in flight together arrive together: the guest drains them as
-// one rx batch and the application domains they unblock become ready at
-// the same virtual instant, forming one wide parallel round. The grid
-// is a pure function of virtual time, so determinism is unaffected.
-func (h *Host) wireSleep(t *sched.Thread) {
-	if t == nil {
-		return
-	}
-	w := h.lat.Wire
-	if h.sch.Shards() > 0 {
-		t.Sleep(w - h.clk.Elapsed()%w)
-		return
-	}
-	t.Sleep(w)
-}
-
 // switchLoop moves guest TX frames to the addressed peer connection.
-// Under the sharded batons the switch is store-and-forward with frame
-// batching: every frame already in the TX ring crosses the wire behind
-// one shared wireSleep, so replies generated in the same parallel round
-// reach their peers at the same virtual instant and the peers' next
-// requests stay in phase. The legacy single baton keeps the original
-// one-frame-per-Wire pipeline so the seed figures do not move.
 func (h *Host) switchLoop(t *sched.Thread) {
-	var batch [][]byte
 	for !h.stopped {
 		if h.netDev == nil {
 			t.Block("no net device")
@@ -251,43 +224,26 @@ func (h *Host) switchLoop(t *sched.Thread) {
 			t.Block("switch idle")
 			continue
 		}
-		batch = append(batch[:0], frame)
-		if h.sch.Shards() > 0 {
-			for {
-				f, ok, err := h.netDev.HostRecv()
-				if err != nil || !ok {
-					break
-				}
-				batch = append(batch, f)
+		t.Sleep(h.lat.Wire)
+		seg, err := lwip.DecodeSegment(frame)
+		if err != nil {
+			h.FramesDropped++
+			if tr := h.tracer; tr != nil {
+				tr.Instant(0, trace.KindHostIO, "host/switch", "frame-drop", "undecodable frame")
 			}
+			continue
 		}
-		h.wireSleep(t)
-		for _, frame := range batch {
-			h.forwardFrame(frame)
+		peer, ok := h.peers[seg.Dst]
+		if !ok {
+			h.FramesDropped++
+			if tr := h.tracer; tr != nil {
+				tr.Instant(0, trace.KindHostIO, "host/switch", "frame-drop", "no peer for destination")
+			}
+			continue
 		}
+		h.FramesSwitched++
+		peer.deliver(seg)
 	}
-}
-
-// forwardFrame demuxes one guest TX frame to its destination peer.
-func (h *Host) forwardFrame(frame []byte) {
-	seg, err := lwip.DecodeSegment(frame)
-	if err != nil {
-		h.FramesDropped++
-		if tr := h.tracer; tr != nil {
-			tr.Instant(0, trace.KindHostIO, "host/switch", "frame-drop", "undecodable frame")
-		}
-		return
-	}
-	peer, ok := h.peers[seg.Dst]
-	if !ok {
-		h.FramesDropped++
-		if tr := h.tracer; tr != nil {
-			tr.Instant(0, trace.KindHostIO, "host/switch", "frame-drop", "no peer for destination")
-		}
-		return
-	}
-	h.FramesSwitched++
-	peer.deliver(seg)
 }
 
 // sendToGuest pushes a peer-originated segment into the guest RX ring.
@@ -298,7 +254,9 @@ func (h *Host) sendToGuest(seg lwip.Segment) error {
 		return fmt.Errorf("host: no net device attached")
 	}
 	t := h.sch.Current()
-	h.wireSleep(t)
+	if t != nil {
+		t.Sleep(h.lat.Wire)
+	}
 	frame := lwip.EncodeSegment(seg)
 	for {
 		err := h.netDev.HostSend(frame)

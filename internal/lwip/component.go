@@ -74,13 +74,7 @@ type Comp struct {
 	// vanilla mode runs handlers on every caller thread concurrently.
 	//vampos:allow statecomplete -- per-call in-flight handler contexts: repopulated on every handler entry, meaningless across a reboot
 	curCtxs map[*sched.Thread]*core.Ctx
-	// activeTh is the thread of the most recent enter. Inside a buffered
-	// shard round Scheduler.Current is unset (the conductor is parked), and
-	// in message-passing mode the component worker is the only thread that
-	// ever runs handlers here, so the last-entered thread is the right one.
-	//vampos:allow statecomplete -- in-flight handler bookkeeping, meaningless across a reboot
-	activeTh *sched.Thread
-	sch      *sched.Scheduler
+	sch     *sched.Scheduler
 
 	// Stats
 	//vampos:allow statecomplete -- wire counters are diagnostics, not recovery state: a rebooted stack restarts its counts like a rebooted kernel would
@@ -332,11 +326,6 @@ func (c *Comp) emit(seg Segment) {
 	if c.sch != nil {
 		ctx = c.curCtxs[c.sch.Current()]
 	}
-	if ctx == nil && c.activeTh != nil {
-		// Round slice: no global current thread. The worker owning this
-		// slice is the last thread that entered a handler.
-		ctx = c.curCtxs[c.activeTh]
-	}
 	if ctx == nil {
 		panic("lwip: segment emitted outside a handler invocation")
 	}
@@ -354,16 +343,13 @@ func (c *Comp) emit(seg Segment) {
 func (c *Comp) enter(ctx *core.Ctx) func() {
 	th := ctx.Thread()
 	prev := c.curCtxs[th]
-	prevActive := c.activeTh
 	c.curCtxs[th] = ctx
-	c.activeTh = th
 	return func() {
 		if prev == nil {
 			delete(c.curCtxs, th)
 		} else {
 			c.curCtxs[th] = prev
 		}
-		c.activeTh = prevActive
 	}
 }
 

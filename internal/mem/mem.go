@@ -393,9 +393,8 @@ type Accessor struct {
 	pkru PKRU
 	// faults counts protection faults raised through this accessor. Each
 	// accessor belongs to one simulated thread, so the count attributes
-	// faults to their raiser even when shard runners execute handlers of
-	// different components concurrently (the global Memory counter can
-	// move on a neighbouring shard mid-handler).
+	// faults to their raiser even while a handler is blocked and other
+	// threads run (the global Memory counter moves for them too).
 	faults uint64
 }
 

@@ -18,7 +18,7 @@ package microreboot
 import (
 	"fmt"
 	"sort"
-	//vampos:allow schedonly -- Registry.mu: lifecycle transitions arrive from parallel shard slices (worker Resolve/Escalate) while the message thread observes openers and campaign oracles snapshot
+	//vampos:allow schedonly -- Registry.mu: Runtime.Sessions/SessionStats snapshot the registry from campaign worker goroutines while simulated threads observe openers and resolve or escalate recoveries
 	"sync"
 	"time"
 )
@@ -142,9 +142,8 @@ type Stats struct {
 // terminal entries would grow without bound under sustained open/close
 // load — the same pressure the log's closed-mark purge relieves.
 type Registry struct {
-	// mu guards m and stats. Transitions commute per key (each touches its
-	// own Status plus counters), so locking preserves determinism of the
-	// final state while making concurrent shard slices safe.
+	// mu guards m and stats: simulated threads transition entries while
+	// observers outside the scheduler take snapshots.
 	mu    sync.Mutex
 	now   func() time.Duration // virtual clock, injected for determinism
 	m     map[Key]*Status

@@ -81,27 +81,6 @@ type Stats struct {
 	ClockAdvances uint64
 	Spawned       uint64
 	Killed        uint64
-	// Rounds counts parallel rounds executed by the shard engine
-	// (zero under the legacy single-baton mode).
-	Rounds uint64
-	// Slices counts buffered timeslices executed inside rounds.
-	Slices uint64
-	// PenFlushes counts app-thread pen releases; Penned counts the
-	// threads released. Penned/PenFlushes is the mean width of the
-	// application-parallel rounds — the figure that must exceed one for
-	// the scaling experiment to see wall-clock speedup.
-	PenFlushes uint64
-	Penned     uint64
-	// SliceWall is the total real (host) time spent executing buffered
-	// slices; RoundCritical is the per-round maximum across runner
-	// buckets, summed — the critical path a machine with at least
-	// min(shards, round width) free cores would pay. Both are
-	// measurement-only: they feed the scaling figure's parallel-capacity
-	// estimate and never influence the schedule, so determinism of the
-	// simulation is untouched (the values themselves vary with host
-	// speed, like any wall-clock benchmark reading).
-	SliceWall     time.Duration
-	RoundCritical time.Duration
 }
 
 // Scheduler owns all simulated threads and the virtual clock.
@@ -111,6 +90,7 @@ type Scheduler struct {
 	threads []*Thread
 	nextID  int
 	current *Thread
+	yielded chan struct{}
 	stopped bool
 	stats   Stats
 	// memory backs thread accessors (nil when the simulation does not
@@ -121,19 +101,6 @@ type Scheduler struct {
 	dispatchCost time.Duration
 	// onDispatch, if set, observes every dispatch (flight recorder).
 	onDispatch func(*Thread)
-	// nshards is the number of shard batons (runner goroutines) parallel
-	// rounds may use. Zero keeps the legacy single-baton dispatch loop
-	// bit-for-bit; SetShards enables the round engine (see shard.go).
-	nshards int
-	// batchBuf, buckets, and runnerOrder are round-engine scratch space
-	// reused across rounds to keep the steady state allocation-free.
-	batchBuf    []*Thread
-	buckets     map[int][]*Thread
-	runnerOrder []int
-	// pen holds ready ClassApp threads the conductor is deferring until
-	// quiescence, in pop order (see shard.go on why app threads batch at
-	// quiescence instead of dispatching eagerly).
-	pen []*Thread
 }
 
 // SetDispatchObserver installs fn to run on every thread dispatch, on
@@ -155,8 +122,9 @@ func New(clk *clock.Virtual, policy Policy) *Scheduler {
 		policy = NewRoundRobin()
 	}
 	return &Scheduler{
-		clk:    clk,
-		policy: policy,
+		clk:     clk,
+		policy:  policy,
+		yielded: make(chan struct{}),
 	}
 }
 
@@ -179,10 +147,6 @@ type Thread struct {
 	name   string
 	state  State
 	resume chan struct{}
-	// parked signals the dispatching goroutine (conductor or shard
-	// runner) that this thread has returned control. Per-thread so that
-	// parallel rounds can wait on their own slices independently.
-	parked chan struct{}
 	fn     func(*Thread)
 	pkru   mem.PKRU
 	acc    *mem.Accessor
@@ -192,35 +156,8 @@ type Thread struct {
 	dispatches  uint64
 	wakeTimer   *clock.Timer
 	blockReason string
+	sleepFor    time.Duration // the pending Sleep, shown in deadlock dumps
 	onPanic     func(any)
-
-	// class separates domain threads (component workers, app threads),
-	// which may execute inside buffered parallel rounds, from system
-	// threads (msg thread, watchdog, host services), which always run
-	// live on the conductor. Spawn defaults to ClassSystem.
-	class Class
-	// shard is the thread's shard ordinal; the runner executing its
-	// slices is shard % nshards, so coupled threads given the same
-	// ordinal co-locate at every shard count.
-	shard int
-	// nameHash is the FNV-1a hash of name, the deterministic tiebreak in
-	// the cross-shard merge rule.
-	nameHash uint64
-	// running is true while the thread's goroutine holds control; it
-	// replaces the Scheduler.current identity check, which cannot name a
-	// unique current thread during a parallel round.
-	running bool
-
-	// Buffered-slice journal (see shard.go). Owned by the thread's
-	// goroutine while running, by the dispatching runner before/after;
-	// the resume/parked channel handoffs order all accesses.
-	buffering   bool
-	sliceBase   time.Duration // global virtual time frozen at round start
-	sliceCharge time.Duration // virtual time charged so far this slice
-	sliceOps    []sliceOp
-	sliceSleep  time.Duration // >=0: Sleep(d) requested at slice end
-	sliceYield  bool          // slice ended in Yield (re-enqueue at commit)
-	sliceWall   time.Duration // real time the last slice took to execute
 
 	// OnKill, if set, runs on the scheduler's goroutine after a killed
 	// thread has finished unwinding. The reboot manager uses it.
@@ -263,6 +200,9 @@ func (t *Thread) Scheduler() *Scheduler { return t.sched }
 // Clock returns the scheduler's virtual clock.
 func (t *Thread) Clock() *clock.Virtual { return t.sched.clk }
 
+// Elapsed returns virtual time since the clock's epoch.
+func (t *Thread) Elapsed() time.Duration { return t.sched.clk.Elapsed() }
+
 // memory is set once via SetMemory; threads derive accessors from it.
 var errMemAlreadySet = errors.New("sched: memory already set")
 
@@ -278,59 +218,29 @@ func (s *Scheduler) SetMemory(m *mem.Memory) error {
 
 // Spawn creates a thread named name running fn with protection word pkru
 // and puts it on the ready queue. It may be called before Run or from any
-// live-dispatched thread; code that may run inside a buffered round slice
-// must use SpawnFrom instead.
+// running thread.
 func (s *Scheduler) Spawn(name string, pkru mem.PKRU, fn func(*Thread)) *Thread {
-	t := s.newThread(name, pkru, fn)
-	s.register(t)
-	return t
-}
-
-// SpawnFrom spawns a thread on behalf of caller. When the caller is
-// executing inside a buffered round slice, registration (id assignment,
-// ready-queue insertion, goroutine start) is journaled so it lands at
-// commit in the deterministic merge order; otherwise it behaves exactly
-// like Spawn. The returned handle is valid immediately.
-func (s *Scheduler) SpawnFrom(caller *Thread, name string, pkru mem.PKRU, fn func(*Thread)) *Thread {
-	if caller != nil && caller.buffering {
-		t := s.newThread(name, pkru, fn)
-		caller.Do(func() { s.register(t) })
-		return t
-	}
-	return s.Spawn(name, pkru, fn)
-}
-
-// newThread builds a thread without touching any conductor-owned state,
-// so it is safe to call from inside a round slice.
-func (s *Scheduler) newThread(name string, pkru mem.PKRU, fn func(*Thread)) *Thread {
 	if fn == nil {
 		panic("sched: Spawn with nil fn")
 	}
+	s.nextID++
 	t := &Thread{
-		sched:      s,
-		name:       name,
-		state:      StateReady,
-		resume:     make(chan struct{}),
-		parked:     make(chan struct{}),
-		fn:         fn,
-		pkru:       pkru,
-		nameHash:   fnv64a(name),
-		sliceSleep: -1,
+		sched:  s,
+		id:     s.nextID,
+		name:   name,
+		state:  StateReady,
+		resume: make(chan struct{}),
+		fn:     fn,
+		pkru:   pkru,
 	}
 	if s.memory != nil {
 		t.acc = mem.NewAccessor(s.memory, pkru)
 	}
-	return t
-}
-
-// register makes a thread schedulable: conductor-side only.
-func (s *Scheduler) register(t *Thread) {
-	s.nextID++
-	t.id = s.nextID
 	s.threads = append(s.threads, t)
 	s.stats.Spawned++
 	s.policy.Enqueue(t)
 	go t.run()
+	return t
 }
 
 func (t *Thread) run() {
@@ -344,7 +254,7 @@ func (t *Thread) run() {
 			}
 		}
 		t.state = StateDone
-		t.parked <- struct{}{}
+		t.sched.yielded <- struct{}{}
 	}()
 	if t.killed {
 		// Killed before ever being dispatched: unwind without running fn.
@@ -353,10 +263,10 @@ func (t *Thread) run() {
 	t.fn(t)
 }
 
-// switchOut returns control to the dispatcher (conductor or shard
-// runner) and parks until redispatched, then honours a pending kill.
+// switchOut returns control to the scheduler and parks until redispatched,
+// then honours a pending kill.
 func (t *Thread) switchOut() {
-	t.parked <- struct{}{}
+	t.sched.yielded <- struct{}{}
 	<-t.resume
 	if t.killed {
 		panic(killSentinel{t: t})
@@ -365,16 +275,9 @@ func (t *Thread) switchOut() {
 
 // Yield places the thread at the back of the ready queue and runs someone
 // else. A polling component calls this between empty mailbox checks.
-// Inside a buffered slice the re-enqueue is deferred to commit so the
-// ready queue is mutated only in the deterministic merge order.
 func (t *Thread) Yield() {
 	t.mustBeCurrent("Yield")
 	t.state = StateReady
-	if t.buffering {
-		t.sliceYield = true
-		t.switchOut()
-		return
-	}
 	t.sched.policy.Enqueue(t)
 	t.switchOut()
 }
@@ -404,10 +307,9 @@ func (t *Thread) Wake() {
 	}
 }
 
-// Sleep parks the thread for d of virtual time. Inside a buffered slice
-// the timer registration is deferred to commit: the timer then measures
-// from the clock position the commit replay has reached, which is exactly
-// where a sequential execution in merge order would have registered it.
+// Sleep parks the thread for d of virtual time. Polling loops sleep on
+// every empty retry, so the duration is stored as is and only formatted
+// when a deadlock dump shows it.
 func (t *Thread) Sleep(d time.Duration) {
 	t.mustBeCurrent("Sleep")
 	if d <= 0 {
@@ -415,12 +317,7 @@ func (t *Thread) Sleep(d time.Duration) {
 		return
 	}
 	t.state = StateSleeping
-	t.blockReason = fmt.Sprintf("sleep %v", d)
-	if t.buffering {
-		t.sliceSleep = d
-		t.switchOut()
-		return
-	}
+	t.sleepFor = d
 	t.wakeTimer = t.sched.clk.AfterFunc(d, func() {
 		t.wakeTimer = nil
 		t.Wake()
@@ -435,7 +332,7 @@ func (t *Thread) Kill() {
 	if t.state == StateDone || t.killed {
 		return
 	}
-	if t.running {
+	if t == t.sched.current {
 		panic("sched: thread cannot Kill itself")
 	}
 	t.killed = true
@@ -458,7 +355,7 @@ func (s *Scheduler) Stop() { s.stopped = true }
 func (s *Scheduler) Stopped() bool { return s.stopped }
 
 func (t *Thread) mustBeCurrent(op string) {
-	if !t.running {
+	if t.sched.current != t {
 		panic(fmt.Sprintf("sched: %s called on %q which is not the running thread", op, t.name))
 	}
 }
@@ -466,27 +363,14 @@ func (t *Thread) mustBeCurrent(op string) {
 // Run dispatches threads until Stop is requested, every thread finishes,
 // or the system deadlocks. It must be called from the host goroutine, not
 // from a simulated thread.
-//
-// With shards disabled (the default) this is the paper's single-baton
-// loop, bit-for-bit. With SetShards(n), runs of two or more consecutive
-// ready domain threads execute as a buffered parallel round (shard.go);
-// system threads and singleton batches still take the live path below, so
-// relay-style workloads keep their exact legacy schedule.
 func (s *Scheduler) Run() error {
 	defer func() { s.current = nil }()
 	for {
 		if s.stopped {
 			return nil
 		}
-		t := s.nextReady()
+		t := s.policy.Next()
 		if t == nil {
-			// Conductor quiescence: nothing but penned app threads can
-			// run. Release the pen as one wide parallel round before
-			// advancing the clock — the penned threads are ready *now*.
-			if len(s.pen) > 0 {
-				s.flushPen()
-				continue
-			}
 			if s.allDone() {
 				return nil
 			}
@@ -498,59 +382,10 @@ func (s *Scheduler) Run() error {
 			}
 			return fmt.Errorf("%w\n%s", ErrDeadlock, s.dumpThreads())
 		}
-		if s.nshards == 0 {
-			s.dispatch(t)
-			continue
+		if t.state != StateReady {
+			continue // killed before first dispatch, or a stale queue entry
 		}
-		if t.class == ClassApp {
-			s.pen = append(s.pen, t)
-			continue
-		}
-		if t.class != ClassDomain {
-			s.dispatch(t)
-			continue
-		}
-		// Shard mode: gather the run of ready domain threads at the head
-		// of the queue. App threads encountered mid-run join the pen; a
-		// system thread ends the batch and is held for immediate live
-		// dispatch afterwards, preserving its pop order.
-		batch := append(s.batchBuf[:0], t)
-		var held *Thread
-		for {
-			u := s.nextReady()
-			if u == nil {
-				break
-			}
-			if u.class == ClassApp {
-				s.pen = append(s.pen, u)
-				continue
-			}
-			if u.class != ClassDomain {
-				held = u
-				break
-			}
-			batch = append(batch, u)
-		}
-		s.batchBuf = batch
-		if len(batch) == 1 {
-			s.dispatch(batch[0])
-		} else {
-			s.runRound(batch)
-		}
-		if held != nil && !s.stopped && held.state == StateReady {
-			s.dispatch(held)
-		}
-	}
-}
-
-// nextReady pops ready-queue entries until a genuinely ready thread (or
-// nothing) remains. Entries for done or re-parked threads are stale.
-func (s *Scheduler) nextReady() *Thread {
-	for {
-		t := s.policy.Next()
-		if t == nil || t.state == StateReady {
-			return t
-		}
+		s.dispatch(t)
 	}
 }
 
@@ -572,10 +407,8 @@ func (s *Scheduler) dispatch(t *Thread) {
 		s.onDispatch(t)
 	}
 	s.current = t
-	t.running = true
 	t.resume <- struct{}{}
-	<-t.parked
-	t.running = false
+	<-s.yielded
 	s.current = nil
 	if t.state == StateDone {
 		if t.killed && t.OnKill != nil {
@@ -616,7 +449,9 @@ func (s *Scheduler) dumpThreads() string {
 			continue
 		}
 		fmt.Fprintf(&b, "  thread %d %q: %s", t.id, t.name, t.state)
-		if t.blockReason != "" {
+		if t.state == StateSleeping {
+			fmt.Fprintf(&b, " (sleep %v)", t.sleepFor)
+		} else if t.blockReason != "" {
 			fmt.Fprintf(&b, " (%s)", t.blockReason)
 		}
 		b.WriteByte('\n')

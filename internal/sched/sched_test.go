@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,6 +108,24 @@ func TestSleepAdvancesVirtualClock(t *testing.T) {
 	}
 	if woke != 5*time.Second {
 		t.Fatalf("woke at %v, want 5s", woke)
+	}
+}
+
+func TestThreadDumpShowsSleepAndBlockReasons(t *testing.T) {
+	s := newSched(nil)
+	var dump string
+	s.Spawn("sleeper", mem.AllowAll, func(th *Thread) { th.Sleep(1500 * time.Microsecond) })
+	s.Spawn("waiter", mem.AllowAll, func(th *Thread) { th.Block("mailbox empty") })
+	s.Spawn("observer", mem.AllowAll, func(*Thread) { dump = s.dumpThreads() })
+	err := s.Run()
+	if !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("Run = %v, want deadlock", err)
+	}
+	if want := `thread 1 "sleeper": sleeping (sleep 1.5ms)`; !strings.Contains(dump, want) {
+		t.Errorf("dump missing %q:\n%s", want, dump)
+	}
+	if want := `thread 2 "waiter": blocked (mailbox empty)`; !strings.Contains(err.Error(), want) {
+		t.Errorf("deadlock text missing %q:\n%v", want, err)
 	}
 }
 

@@ -46,29 +46,7 @@ func (s *Sys) Go(name string, fn func(*Sys)) {
 	t := s.ctx.Go(name, func(c *core.Ctx) {
 		fn(&Sys{ctx: c, inst: s.inst})
 	})
-	s.track(t)
-}
-
-// GoShard spawns an application thread pinned to a shard ordinal (see
-// core.Ctx.GoShard), tracked for full-reboot teardown. Workload drivers
-// with independent per-cell threads use it so the sharded scheduler can
-// run the cells on different cores.
-func (s *Sys) GoShard(name string, shard int, fn func(*Sys)) {
-	t := s.ctx.GoShard(name, shard, func(c *core.Ctx) {
-		fn(&Sys{ctx: c, inst: s.inst})
-	})
-	s.track(t)
-}
-
-// track records t for full-reboot teardown. The registry is
-// instance-global, so an append from inside a buffered round slice is
-// deferred through Thread.Do: it lands at commit in merge order, which
-// both keeps the registry race-free when sibling cells spawn in the
-// same round and keeps its teardown order canonical.
-func (s *Sys) track(t *sched.Thread) {
-	s.ctx.Thread().Do(func() {
-		s.inst.appThreads = append(s.inst.appThreads, t)
-	})
+	s.inst.appThreads = append(s.inst.appThreads, t)
 }
 
 // GoHost spawns a host-side thread (workload clients), untracked: it
@@ -79,26 +57,6 @@ func (s *Sys) GoHost(name string, fn func(t *sched.Thread)) *sched.Thread {
 
 // Sleep suspends the calling thread in virtual time.
 func (s *Sys) Sleep(d time.Duration) { s.ctx.Sleep(d) }
-
-// pollWait parks the thread until its next blocking-syscall retry. The
-// legacy scheduler sleeps a relative PollInterval. Under the sharded
-// batons the deadline is instead rounded up to the next absolute
-// PollInterval grid point — timer coalescing, the same trick tickless
-// kernels use to batch wakeups. Threads polling concurrently then wake
-// at the same virtual instant, so their retry (and the handler work the
-// retry unblocks) lands in one wide parallel round instead of a
-// dispatch-cost-staggered run of width-one rounds. The grid is a pure
-// function of virtual time, so the schedule stays canonical at every
-// shard count.
-func (s *Sys) pollWait() {
-	p := s.inst.cfg.PollInterval
-	if s.inst.cfg.Core.Shards > 0 {
-		now := s.ctx.Elapsed()
-		s.ctx.Sleep(p - now%p)
-		return
-	}
-	s.ctx.Sleep(p)
-}
 
 // Now returns the current virtual time.
 func (s *Sys) Now() time.Time { return s.ctx.Now() }
@@ -199,7 +157,7 @@ func (s *Sys) Read(fd, n int) (data []byte, eof bool, err error) {
 		if !errors.Is(err, core.EAGAIN) {
 			return data, eof, err
 		}
-		s.pollWait()
+		s.ctx.Sleep(s.inst.cfg.PollInterval)
 	}
 }
 
@@ -384,7 +342,7 @@ func (s *Sys) Accept(fd int) (int, error) {
 		if !errors.Is(err, core.EAGAIN) {
 			return nfd, err
 		}
-		s.pollWait()
+		s.ctx.Sleep(s.inst.cfg.PollInterval)
 	}
 }
 
@@ -421,7 +379,7 @@ func (s *Sys) Connect(fd int, addr lwip.Addr, port int, timeout time.Duration) e
 		if s.ctx.Elapsed() >= deadline {
 			return core.Errno("ETIMEDOUT")
 		}
-		s.pollWait()
+		s.ctx.Sleep(s.inst.cfg.PollInterval)
 	}
 }
 
